@@ -4,10 +4,11 @@
 // captures, "BMT1" row binary, or "BMC1" columnar bodies — and read
 // incremental mispredict / aliasing / H2P reports as the trace grows.
 //
-// Every acknowledged ingest is journaled before the response is sent, so
-// killing the process (or the box) loses only unacknowledged requests:
-// restart predserve over the same -dir and every session resumes at its
-// reported cursor with byte-identical reports. SIGINT/SIGTERM drains
+// Every acknowledged ingest is journaled (flushed, not fsynced) before the
+// response is sent, so killing the process loses only unacknowledged
+// requests: restart predserve over the same -dir and every session
+// resumes at its reported cursor with byte-identical reports. An OS crash
+// or power loss can lose more. SIGINT/SIGTERM drains
 // gracefully: /readyz flips, new sessions are refused, in-flight work
 // finishes within the -grace window.
 //
@@ -59,7 +60,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-request processing deadline")
 		readTimeout = fs.Duration("read-timeout", 60*time.Second, "whole-request read deadline (bounds slow-loris bodies)")
 		grace       = fs.Duration("grace", 15*time.Second, "drain window after SIGINT/SIGTERM")
-		compact     = fs.Int64("compact", 4<<20, "journal size triggering compaction, bytes")
+		compact     = fs.Int64("compact", 4<<20, "journal size past the last snapshot triggering compaction, bytes")
 		topN        = fs.Int("top", 5, "H2P ranking length per spec report")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -8,9 +8,10 @@
 // The design center is crash-safety under hostile conditions — the
 // robustness contract the chaos suite (chaos_test.go) enforces:
 //
-//   - Durability. Every successful ingest journals a full session
-//     snapshot (predictor state included, via predictor.Snapshotter)
-//     before it is acknowledged. A crash, kill, or eviction loses only
+//   - Durability. Every successful ingest journals its records (one
+//     BMC1 block per request) before it is acknowledged; compaction
+//     folds them into a full snapshot (predictor state included, via
+//     predictor.Snapshotter). A process kill or eviction loses only
 //     requests that were never acknowledged; the client resumes from the
 //     reported cursor and reports come back byte-identical.
 //   - Bounded memory. Sessions past Config.MaxResident are spilled to
@@ -76,8 +77,12 @@ type Config struct {
 	// RetryBackoff, MaxRetries additional attempts (defaults 3, 10ms).
 	MaxRetries   int
 	RetryBackoff time.Duration
-	// CompactBytes is the journal size that triggers compaction to
-	// header + latest snapshot (default 4 MiB).
+	// CompactBytes bounds a journal's record tail: once the records
+	// committed since the last snapshot would pass it, the journal is
+	// compacted to header + a fresh snapshot (default 4 MiB). Before the
+	// first snapshot that tail is the whole file; after it, a tail
+	// outgrowing the snapshot's own line compacts sooner, but not before
+	// it reaches CompactBytes/8.
 	CompactBytes int64
 	// TopN bounds each spec report's H2P ranking (default 5).
 	TopN int
@@ -444,21 +449,31 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request,
 	writeJSON(w, code, v)
 }
 
-// makeResident loads a spilled session from its journal. Caller holds
-// the session lock. A journal that cannot be trusted is quarantined and
-// the session unregistered: 410 Gone, never guessed-at state.
+// makeResident loads a spilled session from its journal: the last
+// snapshot, then a replay of the records committed after it. Caller
+// holds the session lock. A journal that cannot be trusted is
+// quarantined and the session unregistered: 410 Gone, never guessed-at
+// state. A request abandoned mid-restore leaves the session spilled and
+// its journal untouched.
 func (s *Server) makeResident(ctx context.Context, sess *session) error {
 	if sess.resident {
 		return nil
 	}
 	path := sess.journal.path
-	journal, snap, err := openSessionJournal(path, s.cfg.CompactBytes)
+	journal, lj, err := openSessionJournal(path, s.cfg.CompactBytes)
 	if err == nil {
 		sess.journal = journal
-		err = s.restoreState(ctx, sess, snap)
+		err = s.restoreState(ctx, sess, lj.snap)
+		if err == nil {
+			err = sess.replay(ctx, lj.tail)
+		}
 		if err != nil {
 			journal.close()
+			sess.clearState()
 		}
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return ctxError(err)
 	}
 	if err != nil {
 		quarantine(path)
@@ -478,17 +493,16 @@ func (s *Server) makeResident(ctx context.Context, sess *session) error {
 // dropResident spills a session: journal closed, every byte of in-memory
 // state discarded. Caller holds the session lock. This is the one
 // transition shared by LRU eviction, rollback-on-error, and the chaos
-// suite's Kill — state reloads from the last committed snapshot either
-// way, which is what makes all three safe.
+// suite's Kill — state reloads from the journal (last snapshot plus the
+// committed records after it) either way, which is what makes all three
+// safe.
 func (s *Server) dropResident(sess *session) {
 	if !sess.resident {
 		return
 	}
 	sess.journal.close()
 	sess.resident = false
-	sess.specs = nil
-	sess.pcs, sess.occ, sess.sites, sess.footnotes = nil, nil, nil, nil
-	sess.cursor = 0
+	sess.clearState()
 	s.mu.Lock()
 	if sess.lruToken != nil {
 		s.lru.Remove(sess.lruToken.(*list.Element))

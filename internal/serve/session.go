@@ -23,13 +23,13 @@ import (
 // Sessions live in two states. Resident: predictors in memory, journal
 // open, requests apply directly. Spilled: nothing in memory but the
 // header (id, name, admitted specs); the journal on disk holds the last
-// committed snapshot. The transition is free in both directions because
-// every successful ingest journals a full snapshot before it is
-// acknowledged — eviction just drops memory, and residency is restored
-// by reloading the snapshot. A crash (or Server.Kill, its test double)
-// is the same transition taken involuntarily: whatever was in memory is
-// gone, and the journal's last snapshot — the last acknowledged request
-// — is exactly what comes back.
+// snapshot and the records committed since. The transition is free in
+// both directions because every successful ingest journals its records
+// before it is acknowledged — eviction just drops memory, and residency
+// is restored by reloading the snapshot and replaying the records after
+// it. A crash (or Server.Kill, its test double) is the same transition
+// taken involuntarily: whatever was in memory is gone, and the journal —
+// up to the last acknowledged request — is exactly what comes back.
 //
 // Lock order: session.mu strictly before Server.mu. A session request
 // holds session.mu for its duration; Server.mu is taken only for brief
@@ -360,6 +360,58 @@ func (s *Server) restoreState(ctx context.Context, sess *session, snap *sessionS
 	return nil
 }
 
+// replay applies the record lines journaled after the restored
+// snapshot, in order, through applyChunk — the path the acknowledged
+// requests took. Each line must start at the replayed cursor, pass its
+// BMC1 checksums, and remap every PC to the static id it was journaled
+// with; anything else means the journal does not describe this session.
+// The request's ctx is checked between lines, so an abandoned request
+// stops a long replay without condemning the journal.
+func (sess *session) replay(ctx context.Context, tail []*recordsLine) error {
+	var want []uint32
+	for _, line := range tail {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("replay abandoned: %w", err)
+		}
+		if line.At != sess.cursor {
+			return fmt.Errorf("record line starts at cursor %d, replay is at %d", line.At, sess.cursor)
+		}
+		c, err := trace.OpenColumnar(line.BMC1)
+		if err != nil {
+			return fmt.Errorf("record line at cursor %d: %w", line.At, err)
+		}
+		for bs := c.BlockStream(); ; {
+			recs, err := bs.NextBlock()
+			if err != nil {
+				return fmt.Errorf("record line at cursor %d: %w", line.At, err)
+			}
+			if recs == nil {
+				break
+			}
+			want = want[:0]
+			for _, rec := range recs {
+				want = append(want, rec.Static)
+			}
+			sess.applyChunk(recs)
+			for i, rec := range recs {
+				if rec.Static != want[i] {
+					return fmt.Errorf("record %d remaps PC %#x to static %d, journaled as %d",
+						sess.cursor-len(recs)+i, rec.PC, rec.Static, want[i])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// clearState discards the session's in-memory state (the journal
+// handle aside).
+func (sess *session) clearState() {
+	sess.specs = nil
+	sess.pcs, sess.occ, sess.sites, sess.footnotes = nil, nil, nil, nil
+	sess.cursor = 0
+}
+
 // specsAdmitted returns the session's admitted spec strings (the journal
 // header's plan, valid resident or spilled).
 func (sess *session) specsAdmitted() []string { return sess.journal.hdr.Specs }
@@ -404,104 +456,124 @@ func (sess *session) report(topN int) Report {
 
 // ingest streams one request body into the session: sniff the format,
 // decode, apply in bounded chunks (checking the deadline and the ingest
-// token bucket at every chunk boundary), and commit by journaling a
-// snapshot. Nothing is acknowledged before the journal flush returns; on
-// ANY error the session's in-memory state is dropped and the journal's
-// last snapshot stands, so a failed request rolls back exactly to the
-// previous commit and the client retries from the reported cursor.
+// token bucket at every chunk boundary), and commit by journaling the
+// applied records. Nothing is acknowledged before the journal flush
+// returns; on ANY error the session's in-memory state is dropped and the
+// journal stands as it was, so a failed request rolls back exactly to
+// the previous commit and the client retries from the reported cursor.
 func (s *Server) ingest(ctx context.Context, sess *session, body io.Reader) (int, error) {
-	accepted, err := s.ingestApply(ctx, sess, body)
-	if err != nil {
+	live := sess.liveSpecs()
+	applied := new(trace.ColumnarEncoder)
+	if err := s.ingestApply(ctx, sess, body, applied); err != nil {
 		s.ctr.rollbacks.Add(1)
 		s.dropResident(sess)
 		return 0, err
 	}
-	if err := sess.journal.append(sess.buildSnap()); err != nil {
+	if err := sess.commit(applied, live); err != nil {
 		s.ctr.rollbacks.Add(1)
 		s.dropResident(sess)
 		return 0, fmt.Errorf("serve: committing session %s: %w", sess.id, err)
 	}
-	s.ctr.ingested.Add(int64(accepted))
-	return accepted, nil
+	s.ctr.ingested.Add(int64(applied.Len()))
+	return applied.Len(), nil
+}
+
+// commit makes one applied request durable. A request without records
+// changed nothing, so it appends nothing. One that disabled a spec
+// (live specs fell from live) commits a full snapshot: the panic that
+// froze the spec need not recur on replay. Anything else appends its
+// records.
+func (sess *session) commit(applied *trace.ColumnarEncoder, live int) error {
+	switch {
+	case applied.Len() == 0:
+		return nil
+	case sess.liveSpecs() != live:
+		return sess.journal.appendSnap(sess.buildSnap())
+	}
+	return sess.journal.appendRecords(sess.cursor-applied.Len(), applied.Bytes("", len(sess.pcs)), sess.buildSnap)
+}
+
+// liveSpecs counts the specs not disabled by a runtime failure.
+func (sess *session) liveSpecs() int {
+	n := 0
+	for _, sp := range sess.specs {
+		if !sp.failed {
+			n++
+		}
+	}
+	return n
 }
 
 // ingestChunk is the unit of admission: deadline and rate are checked
 // per chunk, so a huge body cannot blow past either between checks.
 const ingestChunk = 4096
 
-func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader) (int, error) {
+// ingestApply decodes and applies one body a chunk at a time, encoding
+// each applied chunk — Static ids remapped into the session's space —
+// into applied as one BMC1 block for the commit. A request therefore
+// holds its records in their encoded form (~4-5 bytes each, plus the
+// base64 copy in the journal line) rather than as Records.
+func (s *Server) ingestApply(ctx context.Context, sess *session, body io.Reader, applied *trace.ColumnarEncoder) error {
+	apply := func(chunk []trace.Record) error {
+		if err := s.admitChunk(ctx, len(chunk)); err != nil {
+			return err
+		}
+		sess.applyChunk(chunk)
+		return applied.Append(chunk)
+	}
 	head := make([]byte, 4)
 	n, err := io.ReadFull(body, head)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return 0, bodyError(err)
+		return bodyError(err)
 	}
 	head = head[:n]
 	if string(head) == "BMT1" || trace.IsColumnar(head) {
 		rest, err := io.ReadAll(body)
 		if err != nil {
-			return 0, bodyError(err)
+			return bodyError(err)
 		}
 		mem, err := trace.Decode(append(head, rest...))
 		if err != nil {
-			return 0, httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
+			return httpErrorf(http.StatusBadRequest, "decoding trace body: %v", err)
 		}
-		recs := append([]trace.Record(nil), mem.Records()...)
-		total := 0
-		for len(recs) > 0 {
-			chunk := recs
-			if len(chunk) > ingestChunk {
-				chunk = chunk[:ingestChunk]
+		for recs := mem.Records(); len(recs) > 0; {
+			chunk := recs[:min(len(recs), ingestChunk)]
+			if err := apply(chunk); err != nil {
+				return err
 			}
-			if err := s.admitChunk(ctx, len(chunk)); err != nil {
-				return 0, err
-			}
-			sess.applyChunk(chunk)
-			total += len(chunk)
 			recs = recs[len(chunk):]
 		}
-		return total, nil
+		return nil
 	}
 
-	// Anything else is the text capture format, parsed record-at-a-time —
-	// a body never has to materialize. The body's transport errors are
-	// tracked out-of-band: when the limiter cuts the body mid-line, the
-	// scanner sees the partial line first and reports a parse error, but
-	// the truncation — not the parse — is the real failure.
+	// Anything else is the text capture format, parsed record-at-a-time
+	// into one reused chunk. The body's transport errors are tracked
+	// out-of-band: when the limiter cuts the body mid-line, the scanner
+	// sees the partial line first and reports a parse error, but the
+	// truncation — not the parse — is the real failure.
 	tracked := &errTrackReader{r: body}
 	sc := trace.NewTextScanner(io.MultiReader(bytes.NewReader(head), tracked))
 	sc.SetSites(sess.sites)
-	total := 0
 	chunk := make([]trace.Record, 0, ingestChunk)
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		if err := s.admitChunk(ctx, len(chunk)); err != nil {
-			return err
-		}
-		sess.applyChunk(chunk)
-		total += len(chunk)
-		chunk = chunk[:0]
-		return nil
-	}
 	for sc.Scan() {
 		chunk = append(chunk, sc.Record())
 		if len(chunk) == ingestChunk {
-			if err := flush(); err != nil {
-				return 0, err
+			if err := apply(chunk); err != nil {
+				return err
 			}
+			chunk = chunk[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {
 		if tracked.err != nil {
-			return 0, bodyError(tracked.err)
+			return bodyError(tracked.err)
 		}
-		return 0, httpErrorf(http.StatusBadRequest, "%v", err)
+		return httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if err := flush(); err != nil {
-		return 0, err
+	if len(chunk) > 0 {
+		return apply(chunk)
 	}
-	return total, nil
+	return nil
 }
 
 // admitChunk applies the per-chunk gates: the request deadline and the

@@ -126,60 +126,111 @@ func WriteColumnarBlocks(w io.Writer, m *Memory, blockSize int) error {
 	if blockSize < 1 || blockSize > maxColumnarBlock {
 		return fmt.Errorf("trace: columnar block size %d outside [1, %d]", blockSize, maxColumnarBlock)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	// Header: magic, then the CRC-covered tail.
-	head := make([]byte, 0, 64+len(m.name))
-	head = binary.AppendUvarint(head, uint64(m.statics))
-	head = binary.AppendUvarint(head, uint64(len(m.recs)))
-	head = binary.AppendUvarint(head, uint64(blockSize))
-	head = binary.AppendUvarint(head, uint64(len(m.name)))
-	head = append(head, m.name...)
-	if _, err := io.WriteString(w, columnarMagic); err != nil {
+	if _, err := w.Write(columnarHeader(m.statics, len(m.recs), blockSize, m.name)); err != nil {
 		return err
 	}
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(head))
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return err
-	}
-
-	// Blocks. The three streams are built per block and flushed with the
-	// count/length prefix and the CRC footer.
-	var pcs, sts, block []byte
+	var enc blockEncoder
+	var block []byte
 	for base := 0; base < len(m.recs); base += blockSize {
 		recs := m.recs[base:]
 		if len(recs) > blockSize {
 			recs = recs[:blockSize]
 		}
-		pcs, sts = pcs[:0], sts[:0]
-		prevRot := uint64(0)
-		for _, r := range recs {
-			rot := r.PC<<1 | r.PC>>63
-			pcs = binary.AppendUvarint(pcs, zigzag(int64(rot-prevRot)))
-			prevRot = rot
-			sts = binary.AppendUvarint(sts, uint64(r.Static))
-		}
-		block = block[:0]
-		block = binary.AppendUvarint(block, uint64(len(recs)))
-		block = binary.AppendUvarint(block, uint64(len(pcs)))
-		block = binary.AppendUvarint(block, uint64(len(sts)))
-		block = append(block, pcs...)
-		block = append(block, sts...)
-		outOff := len(block)
-		block = append(block, make([]byte, (len(recs)+7)/8)...)
-		for j, r := range recs {
-			if r.Taken {
-				block[outOff+j>>3] |= 1 << (j & 7)
-			}
-		}
-		block = binary.LittleEndian.AppendUint32(block, crc32.ChecksumIEEE(block))
+		block = enc.appendBlock(block[:0], recs)
 		if _, err := w.Write(block); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// ColumnarEncoder builds a columnar trace one block at a time, for a
+// producer that holds its records a chunk at a time: Append encodes a
+// chunk as one block right away, so the records need not be kept, and
+// Bytes puts the header, which needs the final counts, in front. The
+// first block's length is the declared block size, so every later block
+// but the last must have that length too.
+type ColumnarEncoder struct {
+	enc       blockEncoder
+	blocks    []byte
+	count     int
+	blockSize int
+	short     bool // a block shorter than blockSize was appended; it must stay the last
+}
+
+// Append encodes recs as the next block. An empty recs is a no-op; a
+// block that would break the one-block-size rule is an error.
+func (e *ColumnarEncoder) Append(recs []Record) error {
+	switch {
+	case len(recs) == 0:
+		return nil
+	case len(recs) > maxColumnarBlock:
+		return fmt.Errorf("trace: columnar block of %d records exceeds %d", len(recs), maxColumnarBlock)
+	case e.short || (e.blockSize > 0 && len(recs) > e.blockSize):
+		return fmt.Errorf("trace: columnar block of %d records cannot follow %d records in blocks of %d", len(recs), e.count, e.blockSize)
+	}
+	if e.blockSize == 0 {
+		e.blockSize = len(recs)
+	} else if len(recs) < e.blockSize {
+		e.short = true
+	}
+	e.blocks = e.enc.appendBlock(e.blocks, recs)
+	e.count += len(recs)
+	return nil
+}
+
+// Len reports the records appended so far.
+func (e *ColumnarEncoder) Len() int { return e.count }
+
+// Bytes returns the complete trace: a header naming it and declaring
+// statics static sites (every appended Static id must be below it),
+// followed by the blocks appended so far.
+func (e *ColumnarEncoder) Bytes(name string, statics int) []byte {
+	return append(columnarHeader(statics, e.count, max(e.blockSize, 1), name), e.blocks...)
+}
+
+// columnarHeader returns a file header: the magic, then the fields it
+// declares, then the CRC of those fields.
+func columnarHeader(statics, count, blockSize int, name string) []byte {
+	h := make([]byte, 0, len(columnarMagic)+64+len(name))
+	h = append(h, columnarMagic...)
+	h = binary.AppendUvarint(h, uint64(statics))
+	h = binary.AppendUvarint(h, uint64(count))
+	h = binary.AppendUvarint(h, uint64(blockSize))
+	h = binary.AppendUvarint(h, uint64(len(name)))
+	h = append(h, name...)
+	return binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(h[len(columnarMagic):]))
+}
+
+// blockEncoder holds the per-stream scratch reused from block to block.
+type blockEncoder struct{ pcs, sts []byte }
+
+// appendBlock appends recs to dst as one block: the three streams are
+// built, then written behind the count/length prefix and followed by the
+// CRC footer.
+func (e *blockEncoder) appendBlock(dst []byte, recs []Record) []byte {
+	e.pcs, e.sts = e.pcs[:0], e.sts[:0]
+	prevRot := uint64(0)
+	for _, r := range recs {
+		rot := r.PC<<1 | r.PC>>63
+		e.pcs = binary.AppendUvarint(e.pcs, zigzag(int64(rot-prevRot)))
+		prevRot = rot
+		e.sts = binary.AppendUvarint(e.sts, uint64(r.Static))
+	}
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
+	dst = binary.AppendUvarint(dst, uint64(len(e.pcs)))
+	dst = binary.AppendUvarint(dst, uint64(len(e.sts)))
+	dst = append(dst, e.pcs...)
+	dst = append(dst, e.sts...)
+	outOff := len(dst)
+	dst = append(dst, make([]byte, (len(recs)+7)/8)...)
+	for j, r := range recs {
+		if r.Taken {
+			dst[outOff+j>>3] |= 1 << (j & 7)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // blockMeta indexes one validated block inside a columnar file.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -310,6 +311,57 @@ func TestColumnarWriterRejectsBadBlockSize(t *testing.T) {
 	}
 	if err := WriteColumnarBlocks(&buf, m, maxColumnarBlock+1); err == nil {
 		t.Fatalf("oversized block accepted")
+	}
+}
+
+// TestColumnarEncoderMatchesWriter: a trace appended block by block
+// through ColumnarEncoder is byte-identical to WriteColumnarBlocks' with
+// the first block's length as the block size, and a block that breaks
+// the one-block-size rule is refused.
+func TestColumnarEncoderMatchesWriter(t *testing.T) {
+	m := synthetic("encoder", 2500)
+	for _, blockSize := range []int{1, 7, 1000, 2500, 4096} {
+		var e ColumnarEncoder
+		for base := 0; base < m.Len(); base += blockSize {
+			if err := e.Append(m.recs[base:min(base+blockSize, m.Len())]); err != nil {
+				t.Fatalf("block size %d: Append at %d: %v", blockSize, base, err)
+			}
+		}
+		if e.Len() != m.Len() {
+			t.Fatalf("block size %d: Len %d, want %d", blockSize, e.Len(), m.Len())
+		}
+		want := encodeColumnar(t, m, min(blockSize, m.Len()))
+		if got := e.Bytes(m.Name(), m.StaticCount()); !bytes.Equal(got, want) {
+			t.Fatalf("block size %d: encoder bytes differ from WriteColumnarBlocks'", blockSize)
+		}
+	}
+
+	var e ColumnarEncoder
+	if err := e.Append(nil); err != nil || e.Len() != 0 {
+		t.Fatalf("empty Append: %v, Len %d", err, e.Len())
+	}
+	c, err := OpenColumnar(e.Bytes("", 0))
+	if err != nil || c.Len() != 0 {
+		t.Fatalf("empty encoder: %v", err)
+	}
+	if err := e.Append(m.recs[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append(m.recs[10:21]); err == nil {
+		t.Fatalf("a block longer than the first was accepted")
+	}
+	if err := e.Append(m.recs[10:15]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append(m.recs[15:16]); err == nil {
+		t.Fatalf("a block after a short block was accepted")
+	}
+	c, err = OpenColumnar(e.Bytes("", m.StaticCount()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainBlocks(t, c); !slices.Equal(got, m.recs[:15]) {
+		t.Fatalf("encoder round trip differs")
 	}
 }
 
