@@ -27,13 +27,16 @@ type Indexed = predictor.Indexed
 
 // Stepper is the optional fused-step capability: Step(pc, taken) behaves
 // exactly like Predict then Update, returning the prediction. The
-// simulator uses it to halve per-branch interface dispatch; implement it
-// on custom predictors to opt into the fast path.
+// simulator calls it once per branch over each block of records when the
+// predictor is not a BatchRunner, halving per-branch interface dispatch;
+// implement it on custom predictors to opt into the fast path.
 type Stepper = predictor.Stepper
 
-// BatchRunner is the optional whole-trace capability: RunBatch simulates
-// a record slice in one call and returns the misprediction count. The
-// simulator prefers it over Stepper when the workload is materialized.
+// BatchRunner is the optional batch capability: RunBatch simulates a
+// record slice in one call and returns the misprediction count. The
+// simulator prefers it over Stepper for every source, calling it once per
+// block: the whole trace when it is materialized, each decoded block of a
+// columnar trace, each fixed-size chunk of any other stream.
 type BatchRunner = predictor.BatchRunner
 
 // Snapshotter is the optional checkpoint capability: a predictor that can
@@ -126,9 +129,10 @@ func DecodeTrace(data []byte) (Source, error) { return trace.Decode(data) }
 type Result = sim.Result
 
 // Run simulates a predictor over the source and returns misprediction
-// statistics, taking the batched/fused fast path when the source and
-// predictor offer the capabilities (see Stepper, BatchRunner); results
-// are bit-identical to the generic loop either way.
+// statistics. It reads the source in blocks of records and takes the
+// batched/fused fast path when the predictor offers the capabilities
+// (see Stepper, BatchRunner); results are bit-identical to the generic
+// loop either way.
 func Run(p Predictor, src Source) Result { return sim.Run(p, src) }
 
 // RunGeneric is Run restricted to the base Predict/Update stream loop,

@@ -9,6 +9,7 @@ package sim_test
 // semantic fork.
 
 import (
+	"slices"
 	"testing"
 
 	"bimode/internal/predictor"
@@ -45,14 +46,26 @@ func suiteTraces() []*trace.Memory {
 }
 
 // hideCaps wraps a Source so only the base trace.Source methods are in
-// its method set: type assertions to trace.Batched or trace.Sized fail,
-// forcing sim.Run down the stream path.
+// its method set: type assertions to trace.Batched, trace.Blocked or
+// trace.Sized fail, so trace.Blocks chunks its Stream into blocks.
 type hideCaps struct{ trace.Source }
 
 func TestFastPathEquivalence(t *testing.T) {
 	traces := suiteTraces()
 	if len(traces) != 14 {
 		t.Fatalf("expected the 14 suite workloads, got %d", len(traces))
+	}
+	// The stream chunker's boundaries: no records at all, and two full
+	// blocks plus a one-record tail.
+	prefix := traces[0].Records()[:2*trace.DefaultColumnarBlock+1]
+	traces = append(traces,
+		trace.NewMemory("empty", 1, nil),
+		trace.NewMemory("two-blocks-plus-one", traces[0].StaticCount(), prefix))
+	for _, mem := range traces {
+		if got := trace.Materialize(hideCaps{mem}); !slices.Equal(got.Records(), mem.Records()) {
+			t.Fatalf("%s: materializing the stream gave %d records, want the trace's %d",
+				mem.Name(), got.Len(), mem.Len())
+		}
 	}
 	for _, spec := range fastpathSpecs() {
 		spec := spec
@@ -71,8 +84,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				}
 
 				// Stream path with capabilities hidden on the source side
-				// (exercises the Stepper stream loop for predictors that
-				// also implement BatchRunner).
+				// (exercises the block adapter's stream chunking).
 				streamed := sim.Run(zoo.MustNew(spec), hideCaps{mem})
 				if streamed != ref {
 					t.Errorf("%s: stream path %+v != generic %+v", mem.Name(), streamed, ref)

@@ -303,10 +303,6 @@ func (s *Scheduler) RunAll(jobs []Job) []Result {
 		// arena for the next RunAll.
 		defer s.arena.recycle(owned)
 	}
-	if s.interleaving() {
-		s.runAllInterleaved(jobs, shared, matErrs, results)
-		return results
-	}
 	errs := s.DoContext(len(jobs), func(ctx context.Context, i int) error {
 		if s.journal != nil {
 			if res, ok := s.journal.cached(seq, i, shared[i]); ok {

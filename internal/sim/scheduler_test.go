@@ -13,8 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bimode/internal/core"
 	"bimode/internal/predictor"
 	"bimode/internal/sim"
+	"bimode/internal/synth"
 	"bimode/internal/trace"
 	"bimode/internal/zoo"
 )
@@ -208,4 +210,51 @@ func TestNewSchedulerClamp(t *testing.T) {
 	if s := sim.DefaultScheduler(); s.Workers() < 1 {
 		t.Errorf("DefaultScheduler has %d workers", s.Workers())
 	}
+}
+
+// arenaRaceDynamic is the trace length of TestRunAllArenaRace's suites.
+const arenaRaceDynamic = 30000
+
+// bigBiMode is a bi-mode instance with 2x256KB packed tables, far past
+// the zoo-sized predictors the oracle above uses.
+func bigBiMode() predictor.Predictor {
+	return core.MustNew(core.Config{ChoiceBits: 18, BankBits: 18, HistoryBits: 14})
+}
+
+// TestRunAllArenaRace runs overlapping suites through one pooled
+// scheduler so the arena's get/put/recycle and the sharded expvar
+// counters are exercised concurrently; any unsynchronized buffer reuse
+// is a -race hit and any cross-suite aliasing shows up as a wrong count
+// against the sequential reference.
+func TestRunAllArenaRace(t *testing.T) {
+	profile := synth.Profiles()[0].WithDynamic(arenaRaceDynamic)
+	mkJobs := func() []sim.Job {
+		// Fresh generator sources each call: every RunAll materializes
+		// through the arena instead of sharing a *trace.Memory.
+		src := synth.MustWorkload(profile)
+		return []sim.Job{
+			{Make: bigBiMode, Source: src},
+			{Make: bigBiMode, Source: src},
+			{Make: func() predictor.Predictor { return zoo.MustNew("bimode:b=10") }, Source: src},
+			{Make: func() predictor.Predictor { return zoo.MustNew("smith:a=10") }, Source: src},
+		}
+	}
+	want := sim.NewScheduler(0).RunAll(mkJobs())
+	s := sim.NewScheduler(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 3; it++ {
+				got := s.RunAll(mkJobs())
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("job %d: %+v != sequential %+v", i, got[i], want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -53,44 +53,26 @@ func (r Result) String() string {
 // Following the paper, no warm-up exclusion is applied (its tables start
 // weakly-taken and the cold-start transient is part of the measurement).
 //
-// Run dispatches on optional capabilities, strongest first, falling back
-// to the generic Predict/Update stream loop so every Predictor works:
+// Run reads every source through one adapter, trace.Blocks, and feeds
+// each block to runRecords, which dispatches on the predictor's
+// capabilities, strongest first:
 //
-//	source implements trace.Batched (a materialized trace):
-//	    predictor.BatchRunner  -> one fully inlined whole-trace call
-//	    predictor.Stepper      -> one fused call per branch over the slice
-//	    otherwise              -> Predict+Update over the slice
-//	source implements trace.Blocked (a columnar trace):
-//	    the per-slice dispatch above, one decoded block at a time
-//	source streams only:
-//	    predictor.Stepper      -> one fused call per branch
-//	    otherwise              -> the generic loop (see RunGeneric)
+//	predictor.BatchRunner  -> one fully inlined call per block
+//	predictor.Stepper      -> one fused call per branch over the block
+//	otherwise              -> Predict+Update over the block
 //
-// Every path produces bit-identical Mispredicts (enforced by
-// TestFastPathEquivalence); the capabilities are an optimization, never a
-// semantic fork.
+// A materialized trace is a single block, a columnar trace yields its
+// decoded blocks, and a stream-only source is chunked into a reused
+// buffer. Every path produces bit-identical Mispredicts (enforced by
+// TestFastPathEquivalence against RunGeneric); the capabilities are an
+// optimization, never a semantic fork.
 func Run(p predictor.Predictor, src trace.Source) Result {
 	res := Result{
 		Predictor: p.Name(),
 		Workload:  src.Name(),
 		CostBytes: predictor.CostBytes(p),
 	}
-	if b, ok := src.(trace.Batched); ok {
-		recs := b.Records()
-		res.Branches = len(recs)
-		res.Mispredicts = runRecords(p, recs)
-		return res
-	}
-	if bl, ok := src.(trace.Blocked); ok {
-		res.Mispredicts, res.Branches = runBlocks(p, bl.BlockStream())
-		return res
-	}
-	st := src.Stream()
-	if stepper, ok := p.(predictor.Stepper); ok {
-		res.Mispredicts, res.Branches = stepStream(stepper, st)
-		return res
-	}
-	res.Mispredicts, res.Branches = predictUpdateStream(p, st)
+	res.Mispredicts, res.Branches = runBlocks(p, trace.Blocks(src))
 	return res
 }
 
@@ -106,15 +88,14 @@ func runRecords(p predictor.Predictor, recs []trace.Record) int {
 	return predictUpdateRecords(p, recs)
 }
 
-// runBlocks drives a block-capable source (a columnar trace) through the
-// engine one decoded block at a time: each block is a ready-made record
-// slice, so every block takes whatever runRecords fast path the predictor
-// offers — RunBatch over the slice for BatchRunner predictors — without
-// the trace ever being materialized whole. The predictor state carries
-// across blocks, so the result is bit-identical to running the
-// concatenated records in one call (the same contiguity argument as the
-// scheduler's chunked runCell; TestColumnarDifferential pins it). A
-// decode error (possible only for crafted files; OpenColumnar verifies
+// runBlocks is Run's loop, returning (mispredicts, branches): each block
+// is a ready-made record slice, so every block takes whatever runRecords
+// fast path the predictor offers without the trace ever being
+// materialized whole. The predictor state carries across blocks, so the
+// result is bit-identical to running the concatenated records in one
+// call (the same contiguity argument as the scheduler's chunked runCell;
+// TestColumnarDifferential and TestFastPathEquivalence pin it). A decode
+// error (possible only for crafted columnar files; OpenColumnar verifies
 // all checksums up front) panics, surfacing through the scheduler's
 // per-job recovery as the cell's Result.Err.
 func runBlocks(p predictor.Predictor, bs trace.BlockStream) (int, int) {
@@ -132,7 +113,7 @@ func runBlocks(p predictor.Predictor, bs trace.BlockStream) (int, int) {
 	}
 }
 
-// stepRecords is the fused per-record loop over a materialized trace: one
+// stepRecords is the fused per-record loop over a record slice: one
 // dynamic Step call per branch and nothing else.
 //
 //bimode:hotpath dispatch
@@ -146,8 +127,8 @@ func stepRecords(stepper predictor.Stepper, recs []trace.Record) int {
 	return miss
 }
 
-// predictUpdateRecords is the base-protocol per-record loop over a
-// materialized trace: Predict then Update per branch.
+// predictUpdateRecords is the base-protocol per-record loop over a record
+// slice: Predict then Update per branch.
 //
 //bimode:hotpath dispatch
 func predictUpdateRecords(p predictor.Predictor, recs []trace.Record) int {
@@ -161,34 +142,23 @@ func predictUpdateRecords(p predictor.Predictor, recs []trace.Record) int {
 	return miss
 }
 
-// stepStream is the fused per-record loop over a stream, returning
-// (mispredicts, branches).
-//
-//bimode:hotpath dispatch
-func stepStream(stepper predictor.Stepper, st trace.Stream) (int, int) {
-	miss, n := 0, 0
-	for {
-		rec, ok := st.Next()
-		if !ok {
-			return miss, n
-		}
-		if stepper.Step(rec.PC, rec.Taken) != rec.Taken {
-			miss++
-		}
-		n++
+// RunGeneric simulates p over a fresh stream of src using only the base
+// Predictor interface — Predict then Update per branch through the Stream,
+// ignoring every fast-path capability and the block adapter. It is the
+// reference implementation the differential tests compare Run against;
+// measurement semantics are identical.
+func RunGeneric(p predictor.Predictor, src trace.Source) Result {
+	res := Result{
+		Predictor: p.Name(),
+		Workload:  src.Name(),
+		CostBytes: predictor.CostBytes(p),
 	}
-}
-
-// predictUpdateStream is the base-protocol per-record loop over a stream,
-// returning (mispredicts, branches).
-//
-//bimode:hotpath dispatch
-func predictUpdateStream(p predictor.Predictor, st trace.Stream) (int, int) {
+	st := src.Stream()
 	miss, n := 0, 0
 	for {
 		rec, ok := st.Next()
 		if !ok {
-			return miss, n
+			break
 		}
 		if p.Predict(rec.PC) != rec.Taken {
 			miss++
@@ -196,20 +166,7 @@ func predictUpdateStream(p predictor.Predictor, st trace.Stream) (int, int) {
 		p.Update(rec.PC, rec.Taken)
 		n++
 	}
-}
-
-// RunGeneric simulates p over a fresh stream of src using only the base
-// Predictor interface — Predict then Update per branch through the Stream,
-// ignoring every fast-path capability. It is the reference implementation
-// the differential tests compare Run against; measurement semantics are
-// identical.
-func RunGeneric(p predictor.Predictor, src trace.Source) Result {
-	res := Result{
-		Predictor: p.Name(),
-		Workload:  src.Name(),
-		CostBytes: predictor.CostBytes(p),
-	}
-	res.Mispredicts, res.Branches = predictUpdateStream(p, src.Stream())
+	res.Mispredicts, res.Branches = miss, n
 	return res
 }
 

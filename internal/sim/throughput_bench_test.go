@@ -53,13 +53,16 @@ func benchLoop(b *testing.B, run func(p predictor.Predictor, src trace.Source) s
 // BenchmarkThroughput compares the simulation engine's paths per hot
 // predictor: "generic" is the capability-free reference loop, "batched"
 // is sim.Run over a materialized trace (BatchRunner where implemented,
-// fused Stepper otherwise).
+// fused Stepper otherwise), and "stream" is sim.Run over the same trace
+// with its capabilities hidden, so trace.Blocks chunks the Stream.
+// gselect is the Stepper without RunBatch.
 func BenchmarkThroughput(b *testing.B) {
 	mem := throughputTrace()
 	specs := []string{
 		"bimode:b=11",
 		"trimode:b=10",
 		"gshare:i=12,h=12",
+		"gselect:a=8,h=8",
 		"smith:a=12",
 		"gas:h=10,s=2",
 	}
@@ -70,6 +73,9 @@ func BenchmarkThroughput(b *testing.B) {
 		})
 		b.Run("batched/"+spec, func(b *testing.B) {
 			benchLoop(b, sim.Run, spec, mem)
+		})
+		b.Run("stream/"+spec, func(b *testing.B) {
+			benchLoop(b, sim.Run, spec, hideCaps{mem})
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Columnar trace format ("BMC1"): the block-structured, column-oriented
 // sibling of the record-at-a-time varint format in io.go, built for batch
 // iteration — the decoder hands whole blocks of records to the engine
-// (the shape sim.RunBatch and the interleaved kernels consume) instead of
+// (the shape the predictors' RunBatch kernels consume) instead of
 // paying an interface call and a varint state machine per record.
 //
 // Layout (all integers are uvarints unless stated):
@@ -93,9 +93,9 @@ func (e *ColumnarDecodeError) Unwrap() error { return e.Err }
 
 // Blocked is the optional Source capability behind block-batch
 // iteration: the trace is available as a sequence of ready-to-run record
-// slices without materializing the whole thing first. sim.Run consumes
-// it with one RunBatch-shaped call per block, and Materialize drains it
-// block-at-a-time instead of record-at-a-time. *Columnar implements it.
+// slices without materializing the whole thing first. Blocks hands it
+// to sim.Run (one RunBatch-shaped call per block) and Materialize
+// (block-at-a-time instead of record-at-a-time). *Columnar implements it.
 type Blocked interface {
 	// BlockStream returns a fresh single-use block iterator positioned at
 	// the first block. Iterators from separate calls are independent and

@@ -113,6 +113,66 @@ func (m *Memory) Len() int { return len(m.recs) }
 // Records exposes the underlying records; callers must not mutate them.
 func (m *Memory) Records() []Record { return m.recs }
 
+// Blocks returns a single pass over src in record batches: the one
+// adapter through which sim.Run and MaterializeIntoContext read every
+// Source. A Batched source is one block holding its whole slice,
+// uncopied; a Blocked source yields its own BlockStream; any other source
+// is its Stream chunked into one reused buffer of DefaultColumnarBlock
+// records.
+func Blocks(src Source) BlockStream {
+	if b, ok := src.(Batched); ok {
+		return &wholeBlock{recs: b.Records()}
+	}
+	if bl, ok := src.(Blocked); ok {
+		return bl.BlockStream()
+	}
+	return &streamBlocks{st: src.Stream(), buf: make([]Record, DefaultColumnarBlock)}
+}
+
+// wholeBlock is the BlockStream of a Batched source: its records, once.
+type wholeBlock struct{ recs []Record }
+
+// NextBlock implements BlockStream.
+func (w *wholeBlock) NextBlock() ([]Record, error) {
+	recs := w.recs
+	w.recs = nil
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	return recs, nil
+}
+
+// streamBlocks is the BlockStream of a stream-only source: each block is
+// the next len(buf) records of st, copied into buf.
+type streamBlocks struct {
+	st   Stream
+	buf  []Record
+	done bool
+}
+
+// NextBlock implements BlockStream. The stream is not read again once it
+// has reported exhaustion.
+//
+//bimode:hotpath dispatch
+func (s *streamBlocks) NextBlock() ([]Record, error) {
+	if s.done {
+		return nil, nil
+	}
+	buf, st := s.buf, s.st
+	for n := range buf {
+		r, ok := st.Next()
+		if !ok {
+			s.done = true
+			if n == 0 {
+				return nil, nil
+			}
+			return buf[:n], nil
+		}
+		buf[n] = r
+	}
+	return buf, nil
+}
+
 // Materialize drains a Source into an in-memory trace, which is cheaper to
 // replay than regenerating. Traces at this repository's default scale
 // (2M branches x 16 bytes) fit comfortably in memory. A *Memory source is
@@ -130,7 +190,7 @@ func Materialize(src Source) *Memory {
 }
 
 // MaterializeContext is Materialize with cooperative cancellation: while
-// draining the stream it checks ctx between 64K-record chunks and
+// draining the source it checks ctx between blocks (see Blocks) and
 // abandons the materialization with ctx's error, so a canceled or
 // deadline-bounded suite is not stuck behind an expensive (or stalled)
 // generator. With a non-cancelable ctx the check compiles down to
@@ -162,42 +222,25 @@ func MaterializeIntoContext(ctx context.Context, src Source, buf []Record) (*Mem
 	if cap(recs) < capacity {
 		recs = make([]Record, 0, capacity)
 	}
-	// Block-capable sources drain block-at-a-time: one bulk append per
-	// block instead of a Next interface call per record, with the
-	// cooperative cancellation check at block granularity. This is the
-	// path that makes columnar files cheap to materialize into the
+	// One bulk append per block, with the cooperative cancellation check
+	// at block granularity. Columnar files drain without a per-record
+	// interface call, which keeps them cheap to materialize into the
 	// scheduler's arena buffers.
-	if bl, ok := src.(Blocked); ok {
-		bs := bl.BlockStream()
-		for {
-			if cancelable {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			batch, err := bs.NextBlock()
-			if err != nil {
-				return nil, err
-			}
-			if batch == nil {
-				break
-			}
-			recs = append(recs, batch...)
-		}
-		return NewMemory(src.Name(), src.StaticCount(), recs), nil
-	}
-	st := src.Stream()
+	bs := Blocks(src)
 	for {
-		if cancelable && len(recs)&(1<<16-1) == 0 {
+		if cancelable {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		r, ok := st.Next()
-		if !ok {
+		batch, err := bs.NextBlock()
+		if err != nil {
+			return nil, err
+		}
+		if batch == nil {
 			break
 		}
-		recs = append(recs, r)
+		recs = append(recs, batch...)
 	}
 	return NewMemory(src.Name(), src.StaticCount(), recs), nil
 }
